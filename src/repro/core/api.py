@@ -29,6 +29,7 @@ from ..net.topology import Cluster
 from ..p4.api import P4Params
 from ..registry import TRANSPORTS
 from ..sim import SimProcess, SimulationError
+from ..sim.lifetime import building_universe
 from .mts.scheduler import DEFAULT_PRIORITY, MtsScheduler
 from .mps.collectives import make_collectives
 from .mps.core import NcsMps
@@ -150,27 +151,30 @@ class NcsRuntime:
         self._error_spec = error
         self._flow_kwargs = flow_kwargs or {}
         self._error_kwargs = error_kwargs or {}
-        self.nodes = [
-            _GhostNode(self, pid)
-            if getattr(cluster.stacks[pid], "ghost", False)
-            else NcsNode(self, pid)
-            for pid in range(cluster.n_hosts)]
-        ghosts = [n for n in self.nodes if getattr(n, "ghost", False)]
-        if ghosts:
+        # per-pid nodes start transports and receive pumps: build them
+        # with the collector paused, then freeze them with the cluster
+        with building_universe(new=False):
+            self.nodes = [
+                _GhostNode(self, pid)
+                if getattr(cluster.stacks[pid], "ghost", False)
+                else NcsNode(self, pid)
+                for pid in range(cluster.n_hosts)]
+            ghosts = [n for n in self.nodes if getattr(n, "ghost", False)]
+            if ghosts:
+                if resilience is not None:
+                    raise ValueError(
+                        "resilience requires every host to be materialized; "
+                        "partially constructed clusters cannot run the "
+                        "failure detector")
+                # mirror the system-thread tid burn-in of a real node, so
+                # subsequent t_create calls agree across shards
+                real = next((n for n in self.nodes
+                             if not getattr(n, "ghost", False)), None)
+                if real is not None:
+                    for node in ghosts:
+                        node.scheduler._tid_seq = real.scheduler._tid_seq
             if resilience is not None:
-                raise ValueError(
-                    "resilience requires every host to be materialized; "
-                    "partially constructed clusters cannot run the "
-                    "failure detector")
-            # mirror the system-thread tid burn-in of a real node, so
-            # subsequent t_create calls agree across shards
-            real = next((n for n in self.nodes
-                         if not getattr(n, "ghost", False)), None)
-            if real is not None:
-                for node in ghosts:
-                    node.scheduler._tid_seq = real.scheduler._tid_seq
-        if resilience is not None:
-            resilience.attach(self)
+                resilience.attach(self)
         self._started = False
         self._procs: list[SimProcess] = []
 

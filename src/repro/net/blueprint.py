@@ -45,6 +45,7 @@ import networkx as nx
 from ..atm.link import DS3, LinkSpec, OC3, TAXI_140
 from ..hosts import HostParams, SUN_ELC, SUN_IPX
 from ..registry import BLUEPRINTS
+from ..sim.lifetime import building_universe
 
 __all__ = [
     "SwitchItem", "TrunkItem", "HostItem", "LanItem", "TopologyBlueprint",
@@ -218,10 +219,15 @@ def materialize(bp: TopologyBlueprint, owned_switches=None):
     rows, foreign switches become boundary stubs, and the global VC
     mesh is replayed over a shadow graph so identifiers match every
     other shard bit-for-bit.
+
+    The build runs with the cyclic collector paused, and the finished
+    universe is frozen out of later collections; the previous universe
+    is handed back to the collector first (:mod:`repro.sim.lifetime`).
     """
-    if owned_switches is None:
-        return _materialize_full(bp)
-    return _materialize_partial(bp, frozenset(owned_switches))
+    with building_universe(new=True):
+        if owned_switches is None:
+            return _materialize_full(bp)
+        return _materialize_partial(bp, frozenset(owned_switches))
 
 
 def _build_host(bp, sim, rngs, tracer, lan, fabric, switches, item):

@@ -87,7 +87,7 @@ from ..config.spec import ScenarioSpec, SpecError, SupervisionSpec
 from ..faults.plan import WorkerCrash, WorkerStall
 from ..obs.recovery import (SUPERVISOR_ENTITY, stamp_recovery,
                             stamp_recovery_snapshot)
-from ..registry import APP_DRIVERS, KERNELS
+from ..registry import APP_DRIVERS, BLUEPRINTS, KERNELS, UnknownNameError
 from .kernel import Event, SimulationError
 from .trace import Activity, Interval, Timeline
 
@@ -693,21 +693,26 @@ def _partial_eligible(spec: ScenarioSpec) -> bool:
 def _blueprint_for(spec: ScenarioSpec):
     """The spec topology's blueprint, or ``None`` to plan imperatively.
 
-    Mirrors ``build_cluster``'s kwarg forwarding exactly.  *Any* failure
-    (no registered blueprint, rejected options) returns ``None`` so the
-    imperative probe path keeps its original error semantics.
+    Mirrors ``build_cluster``'s kwarg forwarding exactly.  ``None``
+    means the topology has no registered blueprint
+    (:class:`~repro.registry.UnknownNameError`) or its builder rejected
+    the options (``TypeError``/``ValueError``), so the imperative probe
+    path keeps its original error semantics.  Any other exception is a
+    bug in the builder and propagates.
     """
-    from ..registry import BLUEPRINTS
     try:
         builder = BLUEPRINTS.get(spec.cluster.topology)
-        kw = dict(spec.cluster.options)
-        if spec.cluster.n_hosts is not None:
-            kw["n_hosts"] = spec.cluster.n_hosts
-        kw["seed"] = spec.cluster.seed
-        kw["trace"] = spec.obs.trace
-        kw["metrics"] = spec.obs.metrics
+    except UnknownNameError:
+        return None
+    kw = dict(spec.cluster.options)
+    if spec.cluster.n_hosts is not None:
+        kw["n_hosts"] = spec.cluster.n_hosts
+    kw["seed"] = spec.cluster.seed
+    kw["trace"] = spec.obs.trace
+    kw["metrics"] = spec.obs.metrics
+    try:
         return builder(**kw)
-    except Exception:
+    except (TypeError, ValueError):
         return None
 
 
