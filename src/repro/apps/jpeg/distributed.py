@@ -21,7 +21,11 @@ Fig 15).
 
 The bands are really compressed and decompressed (repro.apps.jpeg.codec)
 while the calibrated per-block costs are charged to the simulated CPUs;
-the combined output must equal the per-band codec round-trip exactly.
+the size of each compressed band is what the simulated network carries.
+A run counts as correct when the combined output has the source image's
+shape and a PSNR above 30 dB against it (see :func:`_check`); it is not
+compared with a sequential codec round-trip, which would cost a second
+codec pass per run.
 """
 
 from __future__ import annotations
@@ -55,9 +59,10 @@ def band_slices(height: int, parts: int) -> list[slice]:
     return [slice(i * step, (i + 1) * step) for i in range(parts)]
 
 
-def _check(image, assembled, quality) -> bool:
-    """Distributed output must equal the per-band sequential round-trip
-    and be a faithful reconstruction of the source."""
+def _check(image, assembled) -> bool:
+    """The combined output exists, has the source's shape and
+    reconstructs it above 30 dB PSNR.  It is not compared with a
+    per-band sequential codec round-trip."""
     return (assembled is not None
             and assembled.shape == image.shape
             and psnr(image, assembled) > 30.0)
@@ -118,7 +123,7 @@ def run_jpeg_p4(platform: str, n_nodes: int, quality: int = 75,
         procs.append(rt.spawn(i, decompressor))
     makespan = run_p4_programs(cluster, procs)
     return AppResult("jpeg", "p4", platform, n_nodes, makespan,
-                     _check(image, assembled, quality),
+                     _check(image, assembled),
                      details={"quality": quality,
                               "image_bytes": image.nbytes},
                      cluster=cluster)
@@ -215,7 +220,7 @@ def run_jpeg_ncs(platform: str, n_nodes: int, quality: int = 75,
 
     makespan = rt.run(max_events=50_000_000)
     return AppResult("jpeg", "ncs", platform, n_nodes, makespan,
-                     _check(image, assembled, quality),
+                     _check(image, assembled),
                      details={"quality": quality, "threads": T,
                               "image_bytes": image.nbytes,
                               "mode": mode.value},

@@ -4,10 +4,13 @@ The paper compresses "a 600 Kbyte image"; we generate a deterministic
 960x640 grayscale image (exactly 600 KiB of pixels) with natural-image
 statistics — smooth gradients, oriented texture, a few hard edges and
 mild noise — so the codec's compression ratio and per-block work are
-realistic rather than degenerate.
+realistic rather than degenerate.  Images are memoized and read-only:
+every caller of the same arguments shares one array.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,9 +20,11 @@ IMAGE_HEIGHT = 640
 IMAGE_WIDTH = 960
 
 
+@lru_cache(maxsize=8)
 def benchmark_image(height: int = IMAGE_HEIGHT, width: int = IMAGE_WIDTH,
                     seed: int = 1995) -> np.ndarray:
-    """A deterministic grayscale test image (uint8, 600 KiB by default)."""
+    """A deterministic, read-only grayscale test image (uint8, 600 KiB by
+    default)."""
     if height % 8 or width % 8:
         raise ValueError("image dimensions must be multiples of 8")
     rng = np.random.default_rng(seed)
@@ -32,4 +37,6 @@ def benchmark_image(height: int = IMAGE_HEIGHT, width: int = IMAGE_WIDTH,
     img[int(height * 0.6): int(height * 0.8),
         int(width * 0.55): int(width * 0.9)] -= 55
     img += rng.normal(0, 3.0, size=(height, width))
-    return np.clip(img, 0, 255).astype(np.uint8)
+    img = np.clip(img, 0, 255).astype(np.uint8)
+    img.flags.writeable = False
+    return img

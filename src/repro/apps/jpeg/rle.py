@@ -8,6 +8,7 @@ ints/tuples here; the Huffman stage turns them into bits.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -19,26 +20,26 @@ EOB = ("EOB",)
 
 
 def encode_blocks(zz: np.ndarray) -> list:
-    """Encode a (n_blocks, 64) zig-zag stack into a flat symbol list."""
+    """Encode a (n_blocks, 64) integer zig-zag stack into a flat symbol
+    list of tuples of Python ints (and :data:`EOB`)."""
     if zz.ndim != 2 or zz.shape[1] != 64:
         raise ValueError("expected (n_blocks, 64) zig-zag vectors")
+    # every nonzero AC coefficient, block by block in scan order, with
+    # the zero run since the previous one in its block
+    blk, pos = np.nonzero(zz[:, 1:])
+    prev = np.full_like(pos, -1)
+    same = blk[1:] == blk[:-1]
+    prev[1:][same] = pos[:-1][same]
+    acs = list(zip(repeat("AC"), (pos - prev - 1).tolist(),
+                   zz[:, 1:][blk, pos].tolist()))
     symbols: list = []
-    prev_dc = 0
-    for vec in zz:
-        dc = int(vec[0])
+    prev_dc = start = 0
+    for dc, n_ac in zip(zz[:, 0].tolist(),
+                        np.bincount(blk, minlength=len(zz)).tolist()):
         symbols.append(("DC", dc - prev_dc))
         prev_dc = dc
-        run = 0
-        last_nonzero = int(np.max(np.nonzero(vec)[0])) if np.any(vec) else 0
-        for i in range(1, 64):
-            v = int(vec[i])
-            if i > last_nonzero:
-                break
-            if v == 0:
-                run += 1
-            else:
-                symbols.append(("AC", run, v))
-                run = 0
+        symbols += acs[start:start + n_ac]
+        start += n_ac
         symbols.append(EOB)
     return symbols
 
